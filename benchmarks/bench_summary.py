@@ -12,8 +12,11 @@ Usage::
 
 Scans ``DIR`` (default: the repository root) for ``BENCH_*.json``,
 prints a verdict table, writes ``BENCH_SUMMARY.json`` (or ``--out``),
-and exits nonzero if any benchmark failed.  Files whose verdict cannot
-be recovered count as unknown, not as failures.
+and exits nonzero if any benchmark failed or if a benchmark on the
+declared list :data:`EXPECTED` has no report: a summary that silently
+covers fewer benchmarks than exist is how a failing gate goes unseen.
+Files whose verdict cannot be recovered count as unknown, not as
+failures.
 """
 
 from __future__ import annotations
@@ -28,6 +31,19 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 from repro.bench.envelope import load_bench_report  # noqa: E402
 
 SUMMARY_NAME = "BENCH_SUMMARY.json"
+
+#: Every benchmark under ``benchmarks/*_bench.py``, by envelope name.
+EXPECTED = (
+    "dataplane",
+    "fault_tolerance",
+    "membership",
+    "metadata_chaos",
+    "obs_overhead",
+    "overload",
+    "partition",
+    "qos",
+    "rpc_batching",
+)
 
 
 def summarize(directory: str) -> dict:
@@ -48,13 +64,16 @@ def summarize(directory: str) -> dict:
             }
         )
     verdicts = [row["pass"] for row in rows]
+    missing = sorted(set(EXPECTED) - {row["benchmark"] for row in rows})
     return {
         "benchmarks": rows,
+        "expected": list(EXPECTED),
+        "missing": missing,
         "total": len(rows),
         "passed": sum(1 for v in verdicts if v is True),
         "failed": sum(1 for v in verdicts if v is False),
         "unknown": sum(1 for v in verdicts if v is None),
-        "all_pass": bool(rows) and all(v is True for v in verdicts),
+        "all_pass": not missing and all(v is True for v in verdicts),
     }
 
 
@@ -83,7 +102,7 @@ def main(argv: list[str]) -> int:
         print(f"no BENCH_*.json found in {directory}", file=sys.stderr)
         return 2
 
-    width = max(len(row["benchmark"]) for row in summary["benchmarks"])
+    width = max(len(name) for name in EXPECTED + tuple(r["benchmark"] for r in summary["benchmarks"]))
     print(f"{'benchmark':{width}s}  verdict  wall(s)  floors")
     for row in summary["benchmarks"]:
         floors = ", ".join(f"{k}={v}" for k, v in sorted(row["floors"].items()))
@@ -93,9 +112,12 @@ def main(argv: list[str]) -> int:
             f"{row['wall_seconds']:7.1f}  "
             f"{floors or '-'}"
         )
+    for name in summary["missing"]:
+        print(f"{name:{width}s}  MISSING")
     print(
-        f"{summary['passed']}/{summary['total']} passed, "
-        f"{summary['failed']} failed, {summary['unknown']} unknown"
+        f"{summary['passed']}/{len(EXPECTED)} passed, "
+        f"{summary['failed']} failed, {summary['unknown']} unknown, "
+        f"{len(summary['missing'])} missing"
     )
 
     if out_path is None:
@@ -104,7 +126,7 @@ def main(argv: list[str]) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {out_path}")
-    return 0 if summary["failed"] == 0 else 1
+    return 0 if summary["failed"] == 0 and not summary["missing"] else 1
 
 
 if __name__ == "__main__":

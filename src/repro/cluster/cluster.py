@@ -16,6 +16,7 @@ from repro.cluster.disk import DiskConfig
 from repro.cluster.health import NodeHealthTracker
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.network import Network, NetworkConfig, NetworkEndpoint
+from repro.cluster.overload import CLOSED
 from repro.cluster.node import CpuConfig, StorageNode
 from repro.cluster.simcore import Simulator
 
@@ -143,6 +144,14 @@ class Cluster:
         if not self.health.usable(node_id):
             return False
         return self.breakers is None or self.breakers.allow(node_id)
+
+    def breaker_closed(self, node_id: int) -> bool:
+        """Is ``node_id``'s circuit breaker closed (or none installed)?
+
+        A pure read of the breaker state: unlike :meth:`routable` it never
+        moves an expired breaker to half-open or takes its probe slot.
+        """
+        return self.breakers is None or self.breakers.state[node_id] == CLOSED
 
     def add_liveness_listener(self, callback) -> None:
         """Register ``callback(node_id, alive)`` for liveness changes."""

@@ -168,12 +168,16 @@ class BaselineStore:
             and not self.cluster.health.is_greylisted(node.node_id)
         )
 
-    def _floor_attempt(self, obj, block_index: int) -> bool:
+    def _floor_attempt(self, node, obj, block_index: int) -> bool:
         """Min-healthy-floor guard: True when an op should still attempt
-        its non-usable holder because the block's stripe has fewer than
-        k usable sources (degraded reconstruction would be forced onto
-        non-usable nodes anyway).  Only evaluated after :meth:`_usable`
-        fails, so fault-free runs never pay the scan."""
+        its non-usable holder ``node`` because the block's stripe has
+        fewer than k usable sources (degraded reconstruction would be
+        forced onto non-usable nodes anyway).  Holders whose breaker is
+        not closed are left to the breaker's half-open probe, as in
+        :meth:`FusionStore._floor_attempt`.  Only evaluated after
+        :meth:`_usable` fails, so fault-free runs never pay the scan."""
+        if not node.alive or not self.cluster.breaker_closed(node.node_id):
+            return False
         k = self.config.code.k
         stripe = obj.layout.stripe_of(block_index)
         holder_ids = [
@@ -593,9 +597,7 @@ class BaselineStore:
             )
             return block[offset : offset + length]
 
-        if not self._usable(node) and not (
-            node.alive and self._floor_attempt(obj, block_index)
-        ):
+        if not self._usable(node) and not self._floor_attempt(node, obj, block_index):
             return RemoteOp(standalone=degraded)
 
         def execute():

@@ -15,7 +15,8 @@ from repro.format.schema import ColumnType, Field
 from repro.format.table import Column, Table
 from repro.sql.aggregates import compute_aggregate
 from repro.sql.ast_nodes import Aggregate, Query
-from repro.sql.local import QueryResult
+from repro.sql.grouping import evaluate_group_by, grouped_needed_types
+from repro.sql.local import QueryResult, _apply_limit
 from repro.sql.planner import PhysicalPlan
 from repro.sql.predicate import tree_may_match
 
@@ -61,8 +62,6 @@ def assemble_result(
     query = plan.query
 
     if query.group_by:
-        from repro.sql.grouping import evaluate_group_by, grouped_needed_types
-
         needed = grouped_needed_types(query, plan.schema)
         filtered = {
             name: _concat_column(
@@ -72,8 +71,6 @@ def assemble_result(
             for name in needed
         }
         grouped = evaluate_group_by(query, needed, filtered)
-        from repro.sql.local import _apply_limit
-
         grouped = _apply_limit(grouped, query.limit)
         return QueryResult(
             columns=grouped.schema.names(),
@@ -112,8 +109,6 @@ def assemble_result(
         columns.append(Column(Field(name, type_), values))
     rows = Table(columns) if columns else None
     if rows is not None and query.limit is not None:
-        from repro.sql.local import _apply_limit
-
         rows = _apply_limit(rows, query.limit)
     return QueryResult(
         columns=names,
@@ -127,14 +122,6 @@ def assemble_result(
 def _concat_column(type_: ColumnType, parts: list[np.ndarray]) -> np.ndarray:
     if not parts:
         return np.zeros(0, dtype=type_.numpy_dtype or object)
-    if type_ is ColumnType.STRING:
-        total = sum(len(p) for p in parts)
-        out = np.empty(total, dtype=object)
-        pos = 0
-        for p in parts:
-            out[pos : pos + len(p)] = p
-            pos += len(p)
-        return out
     return np.concatenate(parts)
 
 
@@ -145,15 +132,6 @@ def result_wire_bytes(result: QueryResult) -> int:
     if result.rows is None:
         return 64
     return sum(col.plain_size() for col in result.rows.columns)
-
-
-def selected_plain_bytes(type_: ColumnType, values: np.ndarray) -> int:
-    """Real plain-encoded size of a selected value array (network charge
-    for pushed-down projection results)."""
-    width = type_.fixed_width
-    if width is not None:
-        return width * len(values)
-    return sum(4 + len(v.encode("utf-8")) for v in values)
 
 
 def needed_columns(plan: PhysicalPlan, query: Query) -> list[str]:

@@ -776,9 +776,10 @@ def _hedged(cluster, op: RemoteOp, attempt, metrics, config, scope=None, deadlin
             metrics.hedges += 1
         if sim.tracer is not None:
             sim.tracer.instant("rpc.hedge", cat="rpc", node=op.node.node_id)
-        value = yield from _shielded(
-            cluster, op.fallback(), op.node.node_id, metrics, scope, op
-        )
+        # Shielded like every other fallback: a degraded read that runs
+        # out of sources resolves as _FAILED instead of raising out of
+        # this spawned process and aborting sim.run.
+        value = yield from _shielded_fallback(cluster, op.fallback(), metrics, scope, op)
         if not decided.fired:
             decided.succeed(value)
 

@@ -54,6 +54,7 @@ from repro.format.metadata import ColumnChunkMeta, FileMetadata
 from repro.format.pages import decode_column_chunk
 from repro.format.reader import read_metadata
 from repro.format.schema import ColumnType
+from repro.format.table import plain_size
 from repro.sql.aggregates import merge_partial_aggregates, partial_aggregate
 from repro.sql.ast_nodes import Aggregate, Query
 from repro.sql.bitmap import Bitmap
@@ -189,17 +190,23 @@ class FusionStore:
             and not self.cluster.health.is_greylisted(node.node_id)
         )
 
-    def _floor_attempt(self, obj, block_id: str) -> bool:
+    def _floor_attempt(self, node, obj, block_id: str) -> bool:
         """Min-healthy-floor guard for scatter-gather source selection.
 
         True when an op should still *attempt* its non-usable (suspect /
-        greylisted / breaker-open) holder: once the holder's stripe has
-        fewer than k usable sources, degraded reconstruction is itself
+        greylisted) holder ``node``: once the holder's stripe has fewer
+        than k usable sources, degraded reconstruction is itself
         guaranteed to lean on non-usable nodes, so a direct attempt —
         with the degraded path kept as fallback — is strictly better
-        than the reconstruction cliff.  Only evaluated after
-        :meth:`_usable` fails, so fault-free runs never pay the scan.
+        than the reconstruction cliff.  A holder whose breaker is not
+        closed is never reinstated: it comes back only through the
+        breaker's own half-open probe, or overload would send reads
+        straight back to nodes whose breakers just opened.  Only
+        evaluated after :meth:`_usable` fails, so fault-free runs never
+        pay the scan.
         """
+        if not node.alive or not self.cluster.breaker_closed(node.node_id):
+            return False
         try:
             placement, _ = self._locate_block(obj, block_id)
         except KeyError:
@@ -765,9 +772,7 @@ class FusionStore:
             chunk = yield from self._degraded_chunk_read(obj, loc, coordinator, metrics)
             return chunk[within : within + length]
 
-        if not self._usable(node) and not (
-            node.alive and self._floor_attempt(obj, loc.block_id)
-        ):
+        if not self._usable(node) and not self._floor_attempt(node, obj, loc.block_id):
             return RemoteOp(standalone=degraded)
 
         def execute():
@@ -1278,9 +1283,7 @@ class FusionStore:
             bits = eval_leaf(op.leaf, op.type, values)
             return bits, values[np.flatnonzero(bits)]
 
-        if not self._usable(node) and not (
-            node.alive and self._floor_attempt(obj, loc.block_id)
-        ):
+        if not self._usable(node) and not self._floor_attempt(node, obj, loc.block_id):
             return RemoteOp(standalone=degraded)
 
         def execute():
@@ -1311,7 +1314,7 @@ class FusionStore:
             if decision.push_down:
                 metrics.pushed_down_chunks += 1
                 selected = values[indices]
-                selected_bytes = engine.selected_plain_bytes(type_, selected)
+                selected_bytes = plain_size(type_, selected)
                 if rec is not None:
                     rec.actual_chosen_bytes = selected_bytes
                     rec.actual_alternative_bytes = loc.size
@@ -1322,9 +1325,7 @@ class FusionStore:
             metrics.fallback_chunks += 1
             if rec is not None:
                 rec.actual_chosen_bytes = loc.size
-                rec.actual_alternative_bytes = engine.selected_plain_bytes(
-                    type_, values[indices]
-                )
+                rec.actual_alternative_bytes = plain_size(type_, values[indices])
             reply = bitmap_wire + loc.size
             return self.config.scaled(reply), ("fallback", bits, values[indices])
 
@@ -1360,9 +1361,7 @@ class FusionStore:
             )
             return eval_leaf(op.leaf, op.type, values)
 
-        if not self._usable(node) and not (
-            node.alive and self._floor_attempt(obj, loc.block_id)
-        ):
+        if not self._usable(node) and not self._floor_attempt(node, obj, loc.block_id):
             return RemoteOp(standalone=degraded)
 
         def execute():
@@ -1415,9 +1414,7 @@ class FusionStore:
             )
             return values[indices]
 
-        if not self._usable(node) and not (
-            node.alive and self._floor_attempt(obj, loc.block_id)
-        ):
+        if not self._usable(node) and not self._floor_attempt(node, obj, loc.block_id):
             return RemoteOp(standalone=degraded)
 
         selectivity = len(indices) / len(bitmap) if len(bitmap) else 0.0
@@ -1455,7 +1452,7 @@ class FusionStore:
                     metrics,
                 )
                 values = self._decode_cached(obj.name, meta, data)[indices]
-                reply = engine.selected_plain_bytes(type_, values)
+                reply = plain_size(type_, values)
                 if rec is not None:
                     rec.actual_chosen_bytes = reply
                     rec.actual_alternative_bytes = loc.size
@@ -1490,7 +1487,7 @@ class FusionStore:
                 # What the pushdown branch would have shipped, measured on
                 # the decoded values rather than estimated from the footer.
                 rec.actual_chosen_bytes = loc.size
-                rec.actual_alternative_bytes = engine.selected_plain_bytes(type_, values)
+                rec.actual_alternative_bytes = plain_size(type_, values)
             return values
 
         return RemoteOp(
@@ -1569,9 +1566,7 @@ class FusionStore:
             selected = values[np.flatnonzero(bitmap)]
             return partial_aggregate(agg, selected, int(bitmap.sum()))
 
-        if not self._usable(node) and not (
-            node.alive and self._floor_attempt(obj, loc.block_id)
-        ):
+        if not self._usable(node) and not self._floor_attempt(node, obj, loc.block_id):
             return RemoteOp(standalone=degraded)
 
         bitmap_wire = Bitmap(bitmap).wire_size()

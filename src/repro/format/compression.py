@@ -106,7 +106,10 @@ def _emit_literals(out: bytearray, data, start: int, end: int) -> None:
     cost one pass, not one append per 128 bytes.
     """
     length = end - start
-    if length <= 0:
+    if length <= _MAX_LITERAL:
+        if length > 0:
+            out.append(length - 1)
+            out += data[start:end]
         return
     if length >= 4 * _MAX_LITERAL:
         full = length // _MAX_LITERAL
@@ -222,30 +225,49 @@ class SnappyLikeCodec:
         return bytes(out)
 
     def _compress_small(self, out: bytearray, data, n: int) -> None:
-        """Tiny inputs: the scalar walk beats numpy setup overhead."""
+        """The exhaustive greedy walk: the scalar compressor's exact token stream.
+
+        The walk is sequential, so its per-position work is kept C-level:
+        numpy reads every 4-byte window once as a uint32 table key, and
+        matches extend 8 bytes at a time by XOR of precomputed words.
+        """
         if n < _MIN_MATCH:
             _emit_literals(out, data, 0, n)
             return
-        table: dict[bytes, int] = {}
-        i = 0
-        literal_start = 0
-        limit = n - _HASH_BYTES
-        while i <= limit:
-            chunk = bytes(data[i : i + _HASH_BYTES])
-            candidate = table.get(chunk)
-            table[chunk] = i
-            if candidate is not None and i - candidate <= _MAX_OFFSET:
-                length = _HASH_BYTES
-                max_len = min(_MAX_MATCH, n - i)
-                while length < max_len and data[candidate + length] == data[i + length]:
-                    length += 1
-                _emit_literals(out, data, literal_start, i)
-                out.append(0x80 | (length - _MIN_MATCH))
-                out += (i - candidate).to_bytes(2, "little")
-                i += length
-                literal_start = i
+        data = bytes(data)
+        padded = data + bytes(7)
+        m = n - _HASH_BYTES + 1  # number of 4-byte windows
+        # Overlapping unaligned views: element i is data[i:i+4] / [i:i+8].
+        keys = np.ndarray((m,), dtype="<u4", buffer=padded, strides=(1,)).tolist()
+        words = np.ndarray((n,), dtype="<u8", buffer=padded, strides=(1,)).tolist()
+        table: dict[int, int] = {}
+        get = table.get
+        i = literal_start = 0
+        while i < m:
+            key = keys[i]
+            candidate = get(key)
+            table[key] = i
+            if candidate is None or i - candidate > _MAX_OFFSET:
+                i += 1
                 continue
-            i += 1
+            max_len = n - i
+            if max_len > _MAX_MATCH:
+                max_len = _MAX_MATCH
+            length = _HASH_BYTES
+            while length < max_len:
+                x = words[candidate + length] ^ words[i + length]
+                if x:
+                    # First differing byte = lowest set bit of the XOR.
+                    length += ((x & -x).bit_length() - 1) >> 3
+                    break
+                length += 8
+            if length > max_len:
+                length = max_len
+            if literal_start < i:
+                _emit_literals(out, data, literal_start, i)
+            out.append(0x80 | (length - _MIN_MATCH))
+            out += (i - candidate).to_bytes(2, "little")
+            i = literal_start = i + length
         _emit_literals(out, data, literal_start, n)
 
     def compress_greedy(self, data: bytes) -> bytes:

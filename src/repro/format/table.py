@@ -4,6 +4,9 @@ A :class:`Table` is the unit handed to the file writer and produced by the
 reader.  Numeric columns are numpy arrays; string columns are numpy object
 arrays of ``str``.  Tables are immutable by convention (callers should not
 mutate the underlying arrays after construction).
+
+String columns are never walked row by row: the type check and the plain
+byte size each run as one C-level ``"".join`` over the column.
 """
 
 from __future__ import annotations
@@ -18,17 +21,28 @@ from repro.format.schema import ColumnType, Field, Schema
 def _coerce_values(type_: ColumnType, values) -> np.ndarray:
     """Coerce raw values to the canonical array representation for a type."""
     if type_ is ColumnType.STRING:
-        arr = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            if not isinstance(v, str):
-                raise TypeError(f"string column got non-str value {v!r} at row {i}")
-            arr[i] = v
-        return arr
+        try:
+            "".join(values)  # raises TypeError unless every value is a str
+        except TypeError:
+            i, v = next((i, v) for i, v in enumerate(values) if not isinstance(v, str))
+            raise TypeError(f"string column got non-str value {v!r} at row {i}") from None
+        return np.array(values, dtype=object)  # every value is a str: stays 1-D
     dtype = type_.numpy_dtype
     arr = np.asarray(values)
     if arr.dtype != dtype:
         arr = arr.astype(dtype)
     return arr
+
+
+def plain_size(type_: ColumnType, values: np.ndarray) -> int:
+    """Size in bytes of ``values`` in plain (uncompressed) form: the
+    paper's "uncompressed size" of a chunk (fixed-width values at their
+    natural width, strings as 4-byte-length-prefixed UTF-8), and the
+    network charge for pushed-down projection results."""
+    width = type_.fixed_width
+    if width is not None:
+        return width * len(values)
+    return 4 * len(values) + len("".join(values).encode("utf-8"))
 
 
 @dataclass
@@ -61,16 +75,8 @@ class Column:
         return Column(self.field, self.values[start:stop])
 
     def plain_size(self) -> int:
-        """Size in bytes of this column's values in plain (uncompressed) form.
-
-        Mirrors the paper's notion of a chunk's "uncompressed size":
-        fixed-width values at their natural width, strings as
-        4-byte-length-prefixed UTF-8.
-        """
-        width = self.type.fixed_width
-        if width is not None:
-            return width * len(self.values)
-        return sum(4 + len(v.encode("utf-8")) for v in self.values)
+        """Size in bytes of this column's values in plain form."""
+        return plain_size(self.type, self.values)
 
 
 class Table:
@@ -113,15 +119,11 @@ class Table:
         if self.schema != other.schema or self.num_rows != other.num_rows:
             return False
         for a, b in zip(self.columns, other.columns):
-            if a.type is ColumnType.STRING:
-                if not all(x == y for x, y in zip(a.values, b.values)):
-                    return False
-            elif a.type is ColumnType.DOUBLE:
+            if a.type is ColumnType.DOUBLE:
                 if not np.allclose(a.values, b.values, equal_nan=True):
                     return False
-            else:
-                if not np.array_equal(a.values, b.values):
-                    return False
+            elif not np.array_equal(a.values, b.values):
+                return False
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -9,6 +9,10 @@ Two evaluation modes:
   stats, used by the coordinator to skip row groups (the paper's
   coarse-grained filtering optimisation, present in both Fusion and the
   baseline).
+
+On string (object-array) columns, comparisons, BETWEEN and IN run as
+numpy ufuncs whose object loop applies Python's ``str`` comparison in C;
+only LIKE still walks the rows in Python.
 """
 
 from __future__ import annotations
@@ -60,31 +64,27 @@ def coerce_literal(type_: ColumnType, value: Literal) -> object:
     return value
 
 
+_COMPARE_UFUNCS = {
+    CompareOp.EQ: np.equal,
+    CompareOp.NE: np.not_equal,
+    CompareOp.LT: np.less,
+    CompareOp.LE: np.less_equal,
+    CompareOp.GT: np.greater,
+    CompareOp.GE: np.greater_equal,
+}
+
+
 def _compare(values: np.ndarray, op: CompareOp, literal: object, is_string: bool) -> np.ndarray:
     if is_string:
-        # Object arrays: equality is vectorised; ordering falls back to a
-        # Python loop (string order predicates are rare in the workloads).
-        if op is CompareOp.EQ:
-            return values == literal
-        if op is CompareOp.NE:
-            return values != literal
-        table = {
-            CompareOp.LT: lambda v: v < literal,
-            CompareOp.LE: lambda v: v <= literal,
-            CompareOp.GT: lambda v: v > literal,
-            CompareOp.GE: lambda v: v >= literal,
-        }
-        fn = table[op]
-        return np.fromiter((fn(v) for v in values), dtype=np.bool_, count=len(values))
-    ops = {
-        CompareOp.EQ: np.equal,
-        CompareOp.NE: np.not_equal,
-        CompareOp.LT: np.less,
-        CompareOp.LE: np.less_equal,
-        CompareOp.GT: np.greater,
-        CompareOp.GE: np.greater_equal,
-    }
-    return ops[op](values, literal)
+        # Box the literal as a 0-d object array: as a numpy unicode
+        # scalar it would lose trailing NULs.
+        literal = np.array(literal, dtype=object)
+    return _COMPARE_UFUNCS[op](values, literal)
+
+
+def _in_list(values: np.ndarray, literals: list, is_string: bool) -> np.ndarray:
+    # Object dtype keeps string literals exact (see _compare).
+    return np.isin(values, np.array(literals, dtype=object if is_string else None))
 
 
 def eval_leaf(
@@ -105,10 +105,7 @@ def eval_leaf(
         return np.asarray(lo_mask & hi_mask, dtype=np.bool_)
     if isinstance(leaf, InList):
         literals = [coerce_literal(type_, v) for v in leaf.values]
-        if is_string:
-            wanted = set(literals)
-            return np.fromiter((v in wanted for v in values), dtype=np.bool_, count=len(values))
-        return np.isin(values, np.asarray(literals))
+        return _in_list(values, literals, is_string)
     if isinstance(leaf, Like):
         if not is_string:
             raise PredicateTypeError(

@@ -180,6 +180,19 @@ def _snappy_corpora(rng: np.random.Generator):
     yield (b"abcdefgh" * 1000) + bytes(rng.integers(0, 256, 333, dtype=np.uint8))
 
 
+def _bitmap_shapes(rng: np.random.Generator, nbits: int):
+    yield rng.random(nbits) < 0.01
+    yield rng.random(nbits) < 0.2
+    # Sorted runs: a range predicate over a clustered column.
+    bits = np.zeros(nbits, dtype=bool)
+    pos = 0
+    while pos < nbits:
+        run = int(rng.integers(1, 4000))
+        bits[pos : pos + run] = rng.random() < 0.5
+        pos += run
+    yield bits
+
+
 class TestSnappyCross:
     def test_cross_decompression(self):
         rng = np.random.default_rng(41)
@@ -198,6 +211,25 @@ class TestSnappyCross:
         for sel in (0.0, 0.01, 0.5, 1.0):
             packed = np.packbits(rng.random(8192) < sel).tobytes()
             assert GREEDY.compress(packed) == SCALAR.compress(packed)
+        # Filter-bitmap shapes: packed row-match vectors of 375 B to
+        # 30 KB at sparse, medium and sorted-run selectivities, handed
+        # over as bytes and as memoryviews (the zero-copy read path).
+        for nbytes in (375, 500, 1024, 3000, 30_000):
+            for bits in _bitmap_shapes(rng, nbytes * 8):
+                packed = np.packbits(bits).tobytes()
+                want = SCALAR.compress(packed)
+                assert GREEDY.compress(packed) == want
+                assert GREEDY.compress(memoryview(packed)) == want
+                assert GREEDY.decompress(want) == packed
+
+    def test_greedy_matches_scalar_compressor_on_short_inputs(self):
+        # Every length around the 4-byte window and the 131-byte match
+        # cap, over alphabets from one symbol (all matches) to 256.
+        rng = np.random.default_rng(47)
+        for n in list(range(0, 12)) + [130, 131, 132, 135, 136, 139, 263]:
+            for card in (1, 2, 3, 256):
+                raw = bytes(rng.integers(0, card, n, dtype=np.uint8))
+                assert GREEDY.compress(raw) == SCALAR.compress(raw)
 
     def test_corrupt_streams_rejected(self):
         blob = VEC.compress(b"hello world, hello world, hello world")

@@ -1,12 +1,13 @@
 """The vectorized data plane must be invisible to the simulation.
 
 A fault-free, default-knob workload run with the production (vectorized)
-codecs must produce an event stream bit-identical to the same run with
-every vectorized path swapped back to its retained scalar reference:
-the rewrite changes wall-clock time, never simulated time, byte
-accounting, or RPC counts.  This is the guard that catches a vectorized
-codec leaking different compressed sizes (and hence different simulated
-network costs) into the event loop.
+codecs and string kernels must produce an event stream bit-identical to
+the same run with every vectorized path swapped back to its retained
+scalar or row-at-a-time reference: the rewrite changes wall-clock time,
+never simulated time, byte accounting, or RPC counts.  This is the
+guard that catches a vectorized codec leaking different compressed
+sizes, or a string kernel leaking different masks or plain sizes (and
+hence different simulated network costs), into the event loop.
 """
 
 from __future__ import annotations
@@ -16,10 +17,14 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator
 from repro.core import BaselineStore, FusionStore, StoreConfig
+from repro.core import engine
+from repro.core import store as fusion_store
 from repro.ec import gf256
 from repro.format import _reference as ref
-from repro.format import compression, encoding
+from repro.format import compression, encoding, table
 from repro.format import write_table
+from repro.sql import predicate
+from tests import rowwise_reference as rowwise
 from tests.conftest import make_small_table
 
 QUERIES = [
@@ -27,6 +32,9 @@ QUERIES = [
     "SELECT price FROM tbl WHERE price < 5.0",
     "SELECT count(*), avg(price) FROM tbl WHERE flag = true",
     "SELECT tag, sum(qty) FROM tbl WHERE id < 800 GROUP BY tag",
+    "SELECT id, note FROM tbl WHERE note < 'note 2'",
+    "SELECT tag, note FROM tbl WHERE tag IN ('tag-1', 'tag-5') AND note >= 'note 5'",
+    "SELECT count(*) FROM tbl WHERE note BETWEEN 'note 3' AND 'note 6'",
 ]
 NUM_CLIENTS = 4
 QUERIES_PER_CLIENT = 3
@@ -80,11 +88,8 @@ def _run(store_cls):
 def _patch_scalar_data_plane(monkeypatch):
     """Swap every vectorized data-plane path for its scalar reference."""
     scalar = ref.ScalarSnappyCodec()
-    monkeypatch.setattr(
-        compression.SnappyLikeCodec,
-        "compress",
-        lambda self, data: scalar.compress(data),
-    )
+    for codec in (compression.SnappyLikeCodec, compression.GreedySnappyCodec):
+        monkeypatch.setattr(codec, "compress", lambda self, data: scalar.compress(data))
     monkeypatch.setattr(encoding, "rle_encode", ref.rle_encode)
     monkeypatch.setattr(encoding, "rle_decode", ref.rle_decode)
     monkeypatch.setattr(encoding, "_encode_plain_strings", ref.encode_plain_strings)
@@ -99,6 +104,15 @@ def _patch_scalar_data_plane(monkeypatch):
         )
 
     monkeypatch.setattr(gf256, "gf_matmul_blocks", scalar_matmul_blocks)
+
+    # String query/result plane: row-at-a-time predicates, sizing,
+    # type checks and concatenation.
+    monkeypatch.setattr(predicate, "_compare", rowwise.compare)
+    monkeypatch.setattr(predicate, "_in_list", rowwise.in_list)
+    monkeypatch.setattr(table, "plain_size", rowwise.plain_size)
+    monkeypatch.setattr(fusion_store, "plain_size", rowwise.plain_size)
+    monkeypatch.setattr(table, "_coerce_values", rowwise.coerce_values)
+    monkeypatch.setattr(engine, "_concat_column", rowwise.concat_column)
 
 
 @pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])

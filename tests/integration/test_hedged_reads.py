@@ -8,7 +8,8 @@ scheduled, keeping fault-free runs event-identical to the seed."""
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig, QueryMetrics, Simulator
-from repro.core import FusionStore, StoreConfig
+from repro.cluster.faults import FaultEvent, FaultInjector
+from repro.core import FusionStore, RemoteOpError, StoreConfig
 from repro.format import write_table
 from repro.sql import execute_local
 from tests.conftest import make_small_table
@@ -83,3 +84,55 @@ def test_hedged_run_is_deterministic(batched):
     assert qm_a.hedges == qm_b.hedges
     assert (qm_a.start_time, qm_a.end_time) == (qm_b.start_time, qm_b.end_time)
     assert qm_a.network_bytes == qm_b.network_bytes
+
+
+@pytest.mark.parametrize("dropped", [1, 4])
+def test_hedge_whose_degraded_read_runs_out_of_sources_does_not_escape(dropped):
+    """A hedge's degraded read can exhaust its own nested reads (here the
+    sibling nodes it reconstructs from drop every RPC).  That failure
+    must resolve inside the op, like any other fallback's, and never
+    escape ``sim.run`` from the spawned hedge process; the query then
+    answers (correctly) or fails with a typed error in its own frame."""
+    table = make_small_table(num_rows=2500, seed=77)
+    data = write_table(table, row_group_rows=500)
+    sim = Simulator()
+    cluster = Cluster(sim, ClusterConfig(num_nodes=12))
+    store = FusionStore(
+        cluster,
+        StoreConfig(
+            size_scale=50.0,
+            storage_overhead_threshold=0.1,
+            block_size=500_000,
+            enable_rpc_batching=False,
+            hedge_after_s=0.01,
+            op_timeout_s=0.05,
+            admission_queue_depth=64,
+        ),
+    )
+    store.put("tbl", data)
+    holders = [n for n in cluster.nodes if n.stored_bytes]
+    victim = holders[0]
+    victim.disk.slow_factor = 200.0
+    victim.endpoint.slow_factor = 200.0
+    FaultInjector(
+        cluster,
+        [
+            FaultEvent(at=0.0, kind="drop", node_id=n.node_id, duration=1000.0, rate=1.0)
+            for n in holders[1 : 1 + dropped]
+        ],
+    ).install()
+    qm = QueryMetrics()
+    outcome = []
+
+    def client():
+        try:
+            outcome.append((yield from store.query_process(SQL, qm)))
+        except RemoteOpError as exc:
+            outcome.append(exc)
+
+    sim.process(client())
+    sim.run()  # must not raise: the hedge's failure stays inside its op
+    assert qm.hedges > 0
+    assert len(outcome) == 1
+    if not isinstance(outcome[0], RemoteOpError):
+        assert outcome[0].equals(execute_local(SQL, table))

@@ -238,16 +238,19 @@ class TestReadRepair:
 @pytest.mark.parametrize("store_cls", [FusionStore, BaselineStore])
 class TestMinHealthyFloor:
     def _stripe_zero(self, store):
-        """(block handle, holder node ids) for the object's first stripe."""
+        """(block handle, its holder node, holder node ids) for the
+        object's first stripe."""
         obj = store.objects["tbl"]
+        cluster = store.cluster
         if isinstance(store, FusionStore):
             placement = obj.stripes[0]
             j = next(i for i, s in enumerate(placement.data_sizes) if s > 0)
-            return obj, placement.data_block_ids[j], list(placement.node_ids)
+            holder = cluster.node(placement.node_ids[j])
+            return obj, placement.data_block_ids[j], holder, list(placement.node_ids)
         holder_ids = [
             obj.data_block_nodes[b.index] for b in obj.layout.stripe_blocks(0)
         ] + [nid for (s, _j), nid in obj.parity_block_nodes.items() if s == 0]
-        return obj, 0, holder_ids
+        return obj, 0, cluster.node(obj.data_block_nodes[0]), holder_ids
 
     def _greylist(self, cluster, node_ids):
         """Warm every node's EWMA, then push ``node_ids`` far over the
@@ -265,7 +268,7 @@ class TestMinHealthyFloor:
 
     def test_floor_attempts_when_usable_below_k(self, store_cls):
         store, cluster, _table, data = _system(store_cls)
-        obj, block, holder_ids = self._stripe_zero(store)
+        obj, block, holder, holder_ids = self._stripe_zero(store)
         k = store.config.code.k
         # Greylist enough distinct stripe-0 holders that its usable
         # count drops below k (a trailing partial stripe can have fewer
@@ -273,7 +276,7 @@ class TestMinHealthyFloor:
         distinct = list(dict.fromkeys(holder_ids))
         victims = distinct[: len(distinct) - k + 1]
         self._greylist(cluster, victims)
-        assert store._floor_attempt(obj, block)
+        assert store._floor_attempt(holder, obj, block)
         # The Get still routes direct attempts at greylisted (but
         # alive) holders of below-floor stripes instead of a
         # guaranteed-degraded reconstruction.
@@ -290,7 +293,7 @@ class TestMinHealthyFloor:
             saved = [
                 loc
                 for loc in grey_chunks
-                if store._floor_attempt(obj, loc.block_id)
+                if store._floor_attempt(cluster.node(loc.node_id), obj, loc.block_id)
             ]
             assert saved
             assert metrics.degraded_reads <= len(grey_chunks) - len(saved)
@@ -301,8 +304,8 @@ class TestMinHealthyFloor:
 
     def test_floor_idle_while_k_usable(self, store_cls):
         store, cluster, _table, _data = _system(store_cls)
-        obj, block, holder_ids = self._stripe_zero(store)
+        obj, block, holder, holder_ids = self._stripe_zero(store)
         k = store.config.code.k
         distinct = list(dict.fromkeys(holder_ids))
         self._greylist(cluster, distinct[: len(distinct) - k])  # k still usable
-        assert not store._floor_attempt(obj, block)
+        assert not store._floor_attempt(holder, obj, block)
